@@ -37,6 +37,27 @@ fn bench_keccak(c: &mut Criterion) {
             bencher.iter(|| keccak256(black_box(&data)))
         });
     }
+    // 64 bytes is the mapping-slot preimage that `keccak256` memoizes per
+    // thread (256 direct-mapped slots). `64B_repeat` hashes one preimage, so
+    // it times a memo hit; `64B_distinct` cycles through 16x more distinct
+    // preimages than the memo has slots, so nearly every call is a miss and
+    // times the permutation itself.
+    group.throughput(Throughput::Bytes(64));
+    let repeat = [0xabu8; 64];
+    group.bench_function("64B_repeat", |bencher| {
+        bencher.iter(|| keccak256(black_box(&repeat)))
+    });
+    let distinct: Vec<[u8; 64]> = (0..4096u32)
+        .map(|n| {
+            let mut key = [0xabu8; 64];
+            key[28..32].copy_from_slice(&n.to_be_bytes());
+            key
+        })
+        .collect();
+    let mut next = distinct.iter().cycle();
+    group.bench_function("64B_distinct", |bencher| {
+        bencher.iter(|| keccak256(black_box(next.next().unwrap())))
+    });
     group.finish();
 }
 
