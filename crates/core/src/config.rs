@@ -192,13 +192,6 @@ pub struct FuzzerConfig {
     /// for the three-way decoder differential and A/B throughput
     /// comparisons. Maps to `EvmConfig::block_lowering`.
     pub block_lowering: bool,
-    /// Dispatch block units through pre-resolved handler function pointers
-    /// (direct threading) instead of the two-level `match`. On by default;
-    /// only effective when [`block_lowering`](Self::block_lowering) is on.
-    /// Execution is bit-identical either way, so the knob exists for the
-    /// four-way decoder differential and dispatch A/B comparisons. Maps to
-    /// `EvmConfig::direct_threaded`.
-    pub direct_threaded: bool,
 }
 
 impl Default for FuzzerConfig {
@@ -221,7 +214,6 @@ impl Default for FuzzerConfig {
             install_attacker: true,
             install_rejecting_sink: true,
             block_lowering: true,
-            direct_threaded: true,
         }
     }
 }
@@ -332,17 +324,6 @@ impl FuzzerConfig {
     /// decoder differential suite and A/B throughput comparisons.
     pub fn with_block_lowering(mut self, block_lowering: bool) -> Self {
         self.block_lowering = block_lowering;
-        self
-    }
-
-    /// Choose the block-tier dispatch strategy (builder style): `true` (the
-    /// default) calls through per-unit handler pointers resolved at lowering
-    /// time, `false` restores the `match`-based dispatcher. No effect unless
-    /// block lowering is on; both strategies halt, trace and bill
-    /// identically, so the knob exists for the decoder differential suite
-    /// and dispatch A/B comparisons.
-    pub fn with_direct_threaded(mut self, direct_threaded: bool) -> Self {
-        self.direct_threaded = direct_threaded;
         self
     }
 
@@ -477,14 +458,6 @@ mod tests {
         let off = FuzzerConfig::mufuzz(10).with_block_lowering(false);
         assert!(!off.block_lowering);
         assert!(off.with_block_lowering(true).block_lowering);
-    }
-
-    #[test]
-    fn direct_threaded_defaults_on_and_toggles() {
-        assert!(FuzzerConfig::default().direct_threaded);
-        let off = FuzzerConfig::mufuzz(10).with_direct_threaded(false);
-        assert!(!off.direct_threaded);
-        assert!(off.with_direct_threaded(true).direct_threaded);
     }
 
     #[test]

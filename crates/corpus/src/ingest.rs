@@ -255,13 +255,15 @@ pub fn parse_abi_json(text: &str) -> Result<(ContractAbi, Vec<String>), IngestEr
 /// type is outside the supported surface.
 pub fn parse_param_type(name: &str) -> Option<ParamType> {
     if let Some(elem) = name.strip_suffix("[]") {
-        let inner = parse_param_type(elem)?;
         // Flat arrays of static one-word elements only: nested arrays and
-        // arrays of dynamic types are out of surface.
-        if inner.is_dynamic() || matches!(inner, ParamType::Array(_)) {
+        // arrays of dynamic types are out of surface. Nesting is rejected
+        // before recursing, so a long run of `[]` suffixes cannot exhaust
+        // the stack.
+        if elem.ends_with("[]") {
             return None;
         }
-        return Some(ParamType::Array(Box::new(inner)));
+        let inner = parse_param_type(elem)?;
+        return (!inner.is_dynamic()).then(|| ParamType::Array(Box::new(inner)));
     }
     match name {
         "address" => Some(ParamType::Address),
@@ -331,6 +333,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -395,10 +398,17 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Real ABI JSON
+/// nests a handful of levels; the cap turns a hostile document into an
+/// error before the recursive descent can exhaust the stack.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// Minimal recursive-descent JSON parser.
 struct Parser<'t> {
     bytes: &'t [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -426,8 +436,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, IngestError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -438,6 +448,24 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object a nesting level deeper, refusing documents
+    /// nested past [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, IngestError>,
+    ) -> Result<JsonValue, IngestError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(IngestError::new(format!(
+                "JSON nested deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, IngestError> {
@@ -643,6 +671,21 @@ mod tests {
         assert_eq!(parse_param_type("uint256[][]"), None);
         assert_eq!(parse_param_type("bytes[]"), None);
         assert_eq!(parse_param_type("tuple"), None);
+        let deep = format!("uint256{}", "[]".repeat(200_000));
+        assert_eq!(parse_param_type(&deep), None);
+    }
+
+    #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let err = JsonValue::parse(&"[".repeat(2_000)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert!(JsonValue::parse(&"{\"a\":".repeat(2_000)).is_err());
+        // Nesting up to the cap still parses.
+        let depth = MAX_JSON_DEPTH;
+        let ok = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(depth + 1), "]".repeat(depth + 1));
+        assert!(JsonValue::parse(&over).is_err());
     }
 
     #[test]

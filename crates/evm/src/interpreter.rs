@@ -81,14 +81,6 @@ pub struct EvmConfig {
     /// prevalidated deopt to it); the knob exists for the three-way decoder
     /// differential suite and A/B benchmarks.
     pub block_lowering: bool,
-    /// Drive the block-lowered tier through the direct-threaded dispatch
-    /// table: every [`crate::BlockUnit`] carries a handler function pointer
-    /// pre-resolved at lowering time, so the hot loop is an indirect call
-    /// chain instead of a `match` over the unit tag. Semantics are identical
-    /// to the `match` dispatcher by construction (both are asserted
-    /// bit-identical by the differential suite); the knob selects which one
-    /// runs. No effect unless [`EvmConfig::block_lowering`] is on.
-    pub direct_threaded: bool,
 }
 
 impl Default for EvmConfig {
@@ -100,36 +92,35 @@ impl Default for EvmConfig {
             call_stipend: 2_300,
             legacy_decode: false,
             block_lowering: true,
-            direct_threaded: true,
         }
     }
 }
 
 /// The result of running a single call frame.
-pub(crate) struct FrameResult {
-    pub(crate) halt: HaltReason,
-    pub(crate) output: Vec<u8>,
-    pub(crate) gas_left: u64,
+struct FrameResult {
+    halt: HaltReason,
+    output: Vec<u8>,
+    gas_left: u64,
 }
 
 /// Resumable state of the dispatch loop: everything live across a deopt from
 /// the block-billed fast path to per-instruction execution. Stack, memory
 /// and call-argument buffers live in the frame's [`DepthScratch`] and carry
 /// over untouched.
-pub(crate) struct LoopState {
-    pub(crate) cursor: usize,
-    pub(crate) gas_left: u64,
-    pub(crate) last_cmp: Option<Comparison>,
-    pub(crate) caller_guard_seen: bool,
+struct LoopState {
+    cursor: usize,
+    gas_left: u64,
+    last_cmp: Option<Comparison>,
+    caller_guard_seen: bool,
     /// Indices into `trace.calls` for calls made by this frame whose result
     /// has not yet been consumed by a `JUMPI`.
-    pub(crate) unchecked_calls: Vec<usize>,
+    unchecked_calls: Vec<usize>,
     /// Indices of truncated arithmetic events produced in this frame.
-    pub(crate) truncated_events: Vec<usize>,
+    truncated_events: Vec<usize>,
     /// The frame's RETURNDATA buffer (EIP-211): output of the most recent
     /// completed call or create, empty at frame entry and after an
     /// exceptional callee halt.
-    pub(crate) return_data: Vec<u8>,
+    return_data: Vec<u8>,
 }
 
 impl LoopState {
@@ -148,7 +139,7 @@ impl LoopState {
 }
 
 /// How one pass of the dispatch loop ended.
-pub(crate) enum FrameOutcome {
+enum FrameOutcome {
     /// The frame halted (normally or otherwise).
     Done(FrameResult),
     /// The block-billed fast path reached a block whose static-gas/stack
@@ -160,8 +151,8 @@ pub(crate) enum FrameOutcome {
 /// One entry on the interpreter's internal call stack: which contract's code
 /// is executing at which depth. Used to detect re-entrancy.
 #[derive(Clone, Copy)]
-pub(crate) struct FrameInfo {
-    pub(crate) code_address: Address,
+struct FrameInfo {
+    code_address: Address,
 }
 
 /// One dispatch unit as the loop sees it, independent of how the code is
@@ -358,11 +349,11 @@ impl CodeView for BlockCode<'_> {
 
 /// Per-call-depth scratch buffers.
 #[derive(Debug, Default)]
-pub(crate) struct DepthScratch {
-    pub(crate) stack: Vec<(U256, Taint)>,
-    pub(crate) memory: Vec<u8>,
+struct DepthScratch {
+    stack: Vec<(U256, Taint)>,
+    memory: Vec<u8>,
     /// Staging buffer for the argument bytes of an outgoing call.
-    pub(crate) args: Vec<u8>,
+    args: Vec<u8>,
 }
 
 /// Reusable per-execution scratch space: operand stacks, memory buffers and
@@ -401,7 +392,7 @@ pub struct ExecFrame {
     branch_hint: usize,
     /// Per-transaction EIP-2929 warm/cold access sets and the EIP-3529
     /// refund counter, reset at the start of each top-level message.
-    pub(crate) access: AccessSets,
+    access: AccessSets,
 }
 
 impl ExecFrame {
@@ -447,38 +438,38 @@ impl ExecFrame {
 
 /// The execution context of one call frame.
 #[derive(Clone, Copy)]
-pub(crate) struct FrameCtx<'a> {
-    pub(crate) code_address: Address,
-    pub(crate) storage_address: Address,
-    pub(crate) caller: Address,
-    pub(crate) origin: Address,
-    pub(crate) value: U256,
-    pub(crate) calldata: &'a [u8],
+struct FrameCtx<'a> {
+    code_address: Address,
+    storage_address: Address,
+    caller: Address,
+    origin: Address,
+    value: U256,
+    calldata: &'a [u8],
     /// The executing code blob (`CODECOPY`'s source; `CODESIZE` reads the
     /// view's length, which is the same bytes).
-    pub(crate) code: &'a [u8],
-    pub(crate) gas: u64,
-    pub(crate) depth: usize,
+    code: &'a [u8],
+    gas: u64,
+    depth: usize,
 }
 
 /// The per-call mutable environment threaded through every dispatch tier:
 /// the interpreter's internal call stack, the transaction trace, and the
 /// reusable scratch frame (depth buffers plus the transaction's EIP-2929
 /// access sets).
-pub(crate) struct ExecEnv<'e> {
-    pub(crate) frames: &'e mut Vec<FrameInfo>,
-    pub(crate) trace: &'e mut ExecutionTrace,
-    pub(crate) scratch: &'e mut ExecFrame,
+struct ExecEnv<'e> {
+    frames: &'e mut Vec<FrameInfo>,
+    trace: &'e mut ExecutionTrace,
+    scratch: &'e mut ExecFrame,
 }
 
 /// Everything identifying one `CREATE2` site: who creates, with what value
 /// and salt, from which depth.
-pub(crate) struct CreateSite {
-    pub(crate) creator: Address,
-    pub(crate) origin: Address,
-    pub(crate) value: U256,
-    pub(crate) salt: U256,
-    pub(crate) depth: usize,
+struct CreateSite {
+    creator: Address,
+    origin: Address,
+    value: U256,
+    salt: U256,
+    depth: usize,
 }
 
 /// The EVM: executes messages against a mutable world state.
@@ -719,39 +710,18 @@ impl<'w> Evm<'w> {
         if owned.stack.capacity() == 0 {
             owned.stack.reserve(64);
         }
-        // Two dispatch strategies drive the same block program: the
-        // direct-threaded handler chain (default) and the `match` dispatcher
-        // (`run_frame_inner` over `BlockCode`). They are semantically
-        // identical by construction; the knob exists so the differential
-        // suite can pin them against each other.
-        let outcome = if self.config.direct_threaded {
-            let env = ExecEnv {
-                frames: &mut *frames,
-                trace: &mut *trace,
-                scratch: &mut *scratch,
-            };
-            crate::threaded::run(
-                self,
-                program,
-                ctx,
-                env,
-                &mut owned,
-                LoopState::start(ctx.gas),
-            )
-        } else {
-            let env = ExecEnv {
-                frames: &mut *frames,
-                trace: &mut *trace,
-                scratch: &mut *scratch,
-            };
-            self.run_frame_inner(
-                &BlockCode(program),
-                ctx,
-                env,
-                &mut owned,
-                LoopState::start(ctx.gas),
-            )
+        let env = ExecEnv {
+            frames: &mut *frames,
+            trace: &mut *trace,
+            scratch: &mut *scratch,
         };
+        let outcome = self.run_frame_inner(
+            &BlockCode(program),
+            ctx,
+            env,
+            &mut owned,
+            LoopState::start(ctx.gas),
+        );
         let result = match outcome {
             FrameOutcome::Done(result) => result,
             FrameOutcome::Deopt(state) => {
@@ -960,9 +930,7 @@ impl<'w> Evm<'w> {
                         }};
                     }
                     // The binop core shared by every fused pattern ending in
-                    // an arithmetic/comparison/bitwise op — delegates to
-                    // `fused_binop_eval`, the same function the
-                    // direct-threaded handlers call.
+                    // an arithmetic/comparison/bitwise op.
                     macro_rules! fused_binop {
                         ($op:expr, $pc:expr, $a:expr, $b:expr, $taint:expr) => {
                             fused_binop_eval(
@@ -2658,7 +2626,7 @@ impl<'w> Evm<'w> {
     /// `gas_spent` is how much of the forwarded gas the callee consumed (all
     /// of it on an exceptional halt, the used portion on success or revert,
     /// nothing for EOA transfers and host-behaviour stubs).
-    pub(crate) fn do_call(
+    fn do_call(
         &mut self,
         call: CallContext,
         args: &[u8],
@@ -2804,7 +2772,7 @@ impl<'w> Evm<'w> {
     /// gas, like a failed call. No [`CallEvent`](crate::trace::CallEvent) is
     /// recorded: creations are not message calls, and the reentrancy oracle
     /// keys off call events.
-    pub(crate) fn do_create2(
+    fn do_create2(
         &mut self,
         site: CreateSite,
         init: &[u8],
@@ -2901,21 +2869,21 @@ impl<'w> Evm<'w> {
 }
 
 /// Everything identifying one outgoing message call.
-pub(crate) struct CallContext {
-    pub(crate) kind: CallKind,
-    pub(crate) code_address: Address,
-    pub(crate) storage_address: Address,
-    pub(crate) caller: Address,
-    pub(crate) origin: Address,
-    pub(crate) current_value: U256,
-    pub(crate) to: Address,
-    pub(crate) call_value: U256,
-    pub(crate) gas: u64,
-    pub(crate) depth: usize,
+struct CallContext {
+    kind: CallKind,
+    code_address: Address,
+    storage_address: Address,
+    caller: Address,
+    origin: Address,
+    current_value: U256,
+    to: Address,
+    call_value: U256,
+    gas: u64,
+    depth: usize,
 }
 
 /// Read a 32-byte word from calldata with zero padding.
-pub(crate) fn calldata_word(calldata: &[u8], offset: U256) -> U256 {
+fn calldata_word(calldata: &[u8], offset: U256) -> U256 {
     let offset = match offset.to_usize() {
         Some(o) => o,
         None => return U256::ZERO,
@@ -2930,13 +2898,13 @@ pub(crate) fn calldata_word(calldata: &[u8], offset: U256) -> U256 {
 /// End offset of a `[offset, offset + len)` memory span, rejecting
 /// address-space overflow (the memory cap would reject any such span anyway;
 /// this keeps the arithmetic well-defined instead of panicking).
-pub(crate) fn mem_span(offset: usize, len: usize) -> Result<usize, &'static str> {
+fn mem_span(offset: usize, len: usize) -> Result<usize, &'static str> {
     offset.checked_add(len).ok_or("memory span overflows")
 }
 
 /// Why a memory request was rejected.
 #[derive(Debug)]
-pub(crate) enum MemFail {
+enum MemFail {
     /// Structurally invalid or above the configured hard cap — a frame fault.
     Fault(&'static str),
     /// The quadratic expansion cost exceeds the remaining gas.
@@ -2967,7 +2935,7 @@ fn memory_cost(words: u64) -> u128 {
 /// expansion charge is what stops huge offsets): a request the remaining gas
 /// cannot pay halts with `OutOfGas`, while a payable request above the
 /// simulator's hard cap faults.
-pub(crate) fn ensure_memory(
+fn ensure_memory(
     memory: &mut Vec<u8>,
     size: usize,
     max: usize,
@@ -2996,7 +2964,7 @@ pub(crate) fn ensure_memory(
 
 /// Read a `[offset, offset+len)` range of memory, growing (and charging for)
 /// it as needed.
-pub(crate) fn read_memory_range(
+fn read_memory_range(
     memory: &mut Vec<u8>,
     offset: U256,
     len: U256,
@@ -3014,7 +2982,7 @@ pub(crate) fn read_memory_range(
 
 /// Like [`read_memory_range`], but appending into a reusable buffer instead
 /// of allocating (the call-argument staging path).
-pub(crate) fn read_memory_into(
+fn read_memory_into(
     memory: &mut Vec<u8>,
     offset: U256,
     len: U256,
@@ -3034,7 +3002,7 @@ pub(crate) fn read_memory_into(
 
 /// 256-bit exponentiation by squaring, reporting whether any intermediate
 /// multiplication truncated.
-pub(crate) fn exp_u256(base: U256, exponent: U256) -> (U256, bool) {
+fn exp_u256(base: U256, exponent: U256) -> (U256, bool) {
     let mut result = U256::ONE;
     let mut overflowed = false;
     let mut base_acc = base;
@@ -3056,14 +3024,13 @@ pub(crate) fn exp_u256(base: U256, exponent: U256) -> (U256, bool) {
 
 /// The frame-local bookkeeping a fused binop mutates: where the op sits
 /// (pc/depth, for events) and the trace / comparison / truncation state it
-/// writes into. Bundled so [`fused_binop_eval`] can be shared between the
-/// `match` dispatcher and the direct-threaded handlers.
-pub(crate) struct BinopSite<'a> {
-    pub(crate) pc: usize,
-    pub(crate) depth: usize,
-    pub(crate) trace: &'a mut ExecutionTrace,
-    pub(crate) last_cmp: &'a mut Option<Comparison>,
-    pub(crate) truncated_events: &'a mut Vec<usize>,
+/// writes into.
+struct BinopSite<'a> {
+    pc: usize,
+    depth: usize,
+    trace: &'a mut ExecutionTrace,
+    last_cmp: &'a mut Option<Comparison>,
+    truncated_events: &'a mut Vec<usize>,
 }
 
 /// The binop core shared by every fused pattern ending in an arithmetic /
@@ -3072,7 +3039,7 @@ pub(crate) struct BinopSite<'a> {
 /// roles mirror the generic arms: `a` is the first pop (the later push),
 /// `b` the second.
 #[inline(always)]
-pub(crate) fn fused_binop_eval(
+fn fused_binop_eval(
     op: Opcode,
     a: U256,
     b: U256,

@@ -42,7 +42,6 @@ pub mod keccak;
 pub mod opcode;
 pub mod program;
 pub mod state;
-mod threaded;
 pub mod trace;
 pub mod types;
 pub mod u256;

@@ -34,7 +34,6 @@
 
 use crate::gas::static_gas;
 use crate::opcode::Opcode;
-use crate::threaded::{select_handler, UnitHandler};
 use crate::trace::OpcodeSet;
 use crate::u256::U256;
 use std::sync::Arc;
@@ -213,11 +212,6 @@ pub struct BlockInfo {
     pub instr_start: u32,
     /// One past the last instruction of the block.
     pub instr_end: u32,
-    /// One past the last dispatch unit of the block (the block's units are
-    /// `[leader unit .. unit_end)`; the leader unit's own index is recorded
-    /// on the unit itself). Lets the direct-threaded driver run a block's
-    /// units in a tight inner loop with the per-unit checks hoisted out.
-    pub unit_end: u32,
 }
 
 impl BlockInfo {
@@ -244,7 +238,6 @@ impl BlockInfo {
             stack_delta: height as i32,
             instr_start: start as u32,
             instr_end: (start + instrs.len()) as u32,
-            unit_end: 0, // filled once the block's units are fused
         }
     }
 }
@@ -372,10 +365,6 @@ pub struct BlockUnit {
     /// dispatch arms bulk-OR the trace bitset once per unit (see
     /// [`crate::trace::ExecutionTrace::record_unit`]).
     pub mask: OpcodeSet,
-    /// Pre-resolved dispatch handler for the direct-threaded tier, selected
-    /// once at lowering time from `(fused, op)` so the hot loop is an
-    /// indirect call instead of a two-level `match`.
-    pub(crate) handler: UnitHandler,
 }
 
 /// A [`DecodedProgram`] lowered to basic blocks with fused idioms.
@@ -437,7 +426,6 @@ impl BlockProgram {
         //    boundary, so a jump can never land mid-superinstruction.
         let mut units = Vec::with_capacity(n);
         let mut instr_to_unit = vec![u32::MAX; n];
-        let mut unit_ends = Vec::with_capacity(blocks.len());
         for (bi, block) in blocks.iter().enumerate() {
             let (start, end) = (block.instr_start as usize, block.instr_end as usize);
             let mut i = start;
@@ -484,14 +472,9 @@ impl BlockProgram {
                     head,
                     fused,
                     mask,
-                    handler: select_handler(fused, &instrs[i..i + count]),
                 });
                 i += count;
             }
-            unit_ends.push(units.len() as u32);
-        }
-        for (block, unit_end) in blocks.iter_mut().zip(unit_ends) {
-            block.unit_end = unit_end;
         }
 
         // 4. Remap fused jump targets from instruction cursors to unit

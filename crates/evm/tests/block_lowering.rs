@@ -2,10 +2,10 @@
 //! blobs, the blocks must partition the decoded stream, every `JUMPDEST`
 //! must lead a block, the precomputed per-block envelope must equal an
 //! independent instruction-by-instruction fold, and the dispatch units must
-//! tile the stream exactly. A final property executes random code four
-//! ways (direct-threaded / block-lowered `match` / pre-decoded / legacy)
-//! and demands bit-identical results, and targeted gas sweeps drive every
-//! fused storage arm through each possible mid-pattern halt.
+//! tile the stream exactly. A final property executes random code three
+//! ways (block-lowered / pre-decoded / legacy) and demands bit-identical
+//! results, and targeted gas sweeps drive every fused storage arm through
+//! each possible mid-pattern halt.
 
 use mufuzz_evm::{
     static_gas, Account, Address, BlockEnv, BlockProgram, DecodedProgram, Evm, Message, Opcode,
@@ -126,6 +126,8 @@ proptest! {
         }
     }
 
+    // Three tiers since the direct-threaded dispatcher was retired; the name
+    // is kept so test history lines up across that change.
     #[test]
     fn random_code_executes_identically_across_all_four_tiers(
         code in proptest::collection::vec(any::<u8>(), 0..300),
@@ -142,31 +144,27 @@ proptest! {
         base.freeze();
         let msg = Message::new(sender, contract, U256::ZERO, calldata);
 
-        let run = |legacy: bool, block_lowering: bool, direct_threaded: bool| {
+        let run = |legacy: bool, block_lowering: bool| {
             let mut world = base.snapshot();
             let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
             evm.config.legacy_decode = legacy;
             evm.config.block_lowering = block_lowering;
-            evm.config.direct_threaded = direct_threaded;
             (evm.execute(&msg), world)
         };
-        let (threaded, world_threaded) = run(false, true, true);
-        let (block, world_block) = run(false, true, false);
-        let (pre, world_pre) = run(false, false, false);
-        let (legacy, world_legacy) = run(true, false, false);
+        let (block, world_block) = run(false, true);
+        let (pre, world_pre) = run(false, false);
+        let (legacy, world_legacy) = run(true, false);
 
-        prop_assert_eq!(threaded.gas_used, legacy.gas_used);
-        prop_assert_eq!(&threaded, &block);
+        prop_assert_eq!(block.gas_used, legacy.gas_used);
         prop_assert_eq!(&block, &pre);
         prop_assert_eq!(&pre, &legacy);
-        prop_assert_eq!(&world_threaded, &world_block);
         prop_assert_eq!(&world_block, &world_pre);
         prop_assert_eq!(&world_pre, &world_legacy);
     }
 }
 
 /// Run `code` with the given gas limit and call value under the
-/// direct-threaded, block-`match` and pre-decoded tiers and demand
+/// block-lowered and pre-decoded tiers and demand
 /// bit-identical results (including the trace, hence the instruction count)
 /// and committed state.
 fn assert_tiers_agree_at_gas(code: &[u8], gas: u64, value: u64) {
@@ -184,24 +182,17 @@ fn assert_tiers_agree_at_gas(code: &[u8], gas: u64, value: u64) {
     base.freeze();
     let mut msg = Message::new(sender, contract, U256::from_u64(value), vec![]);
     msg.gas = gas;
-    let run = |block_lowering: bool, direct_threaded: bool| {
+    let run = |block_lowering: bool| {
         let mut world = base.snapshot();
         let mut evm = Evm::new(&mut world, BlockEnv::default()).with_programs(&cache);
         evm.config.block_lowering = block_lowering;
-        evm.config.direct_threaded = direct_threaded;
         (evm.execute(&msg), world)
     };
-    let (threaded, world_threaded) = run(true, true);
-    let (matched, world_matched) = run(true, false);
-    let (pre, world_pre) = run(false, false);
-    assert_eq!(threaded, matched, "dispatch divergence at gas {gas}");
-    assert_eq!(matched, pre, "block-tier divergence at gas {gas}");
+    let (block, world_block) = run(true);
+    let (pre, world_pre) = run(false);
+    assert_eq!(block, pre, "block-tier divergence at gas {gas}");
     assert_eq!(
-        world_threaded, world_matched,
-        "dispatch state divergence at gas {gas}"
-    );
-    assert_eq!(
-        world_matched, world_pre,
+        world_block, world_pre,
         "block-tier state divergence at gas {gas}"
     );
 }

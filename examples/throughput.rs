@@ -4,17 +4,16 @@
 //! steady-state draws) and on the historical global draw under the state
 //! lock — then sweep three corpus contracts through one `CampaignService`
 //! fleet pool, sequentially and concurrently. A raw-harness interpreter
-//! A/B isolates the execution tiers from scheduler effects: three kernels
+//! A/B isolates the execution tiers from scheduler effects: four kernels
 //! — a straight-line local-arithmetic mixer, a branchy unrolled
-//! Collatz-style router, and a storage-heavy mapping ledger — each
-//! executed through `ContractHarness` directly under three tiers
-//! (pre-decoded instruction-at-a-time, block-lowered `match` dispatch,
-//! and block-lowered direct-threaded dispatch), measured best-of-N
-//! interleaved to shrug off scheduler noise. Reports execs/sec for each
-//! and emits a machine-readable `BENCH_throughput.json` so CI can track
-//! the performance trajectory, the sharded-vs-global scaling claim, the
-//! fleet-concurrency claim, the block-lowering speedup and the
-//! direct-threading speedup across PRs.
+//! Collatz-style router, a storage-heavy mapping ledger and an ingested
+//! real-bytecode contract — each executed through `ContractHarness`
+//! directly under two tiers (pre-decoded instruction-at-a-time and
+//! block-lowered), measured best-of-N interleaved to shrug off scheduler
+//! noise. Reports execs/sec
+//! for each and emits a machine-readable `BENCH_throughput.json` so CI can
+//! track the performance trajectory, the sharded-vs-global scaling claim,
+//! the fleet-concurrency claim and the block-lowering speedup across PRs.
 //!
 //! Run with:
 //! ```text
@@ -24,8 +23,8 @@
 //! cargo run --release --example throughput -- --kernel branchy
 //! ```
 //!
-//! `--kernel <straight_line|branchy|storage|all>` restricts the
-//! interpreter A/B to one kernel (default: all three).
+//! `--kernel <straight_line|branchy|storage|ingested|all>` restricts the
+//! interpreter A/B to one kernel (default: all four).
 
 use mufuzz::{
     CampaignReport, CampaignService, ContractHarness, Fuzzer, FuzzerConfig, Sequence, TxInput,
@@ -105,8 +104,8 @@ const KERNELS: [&str; 4] = ["straight_line", "branchy", "storage", "ingested"];
 ///   memory-resident locals: pure fused-arithmetic throughput, the best
 ///   case for block settlement and superinstructions.
 /// * `branchy` — an unrolled Collatz-style router whose every step takes a
-///   data-dependent branch: short blocks and dense `JUMPI`s, the workload
-///   where `match` dispatch mispredicts and direct threading should win.
+///   data-dependent branch: short blocks and dense `JUMPI`s, where dispatch
+///   overhead and branch prediction dominate.
 /// * `storage` — a mapping-and-counter ledger dominated by
 ///   `balances[msg.sender] +=` / `total +=` idioms: the `MapSlot*`,
 ///   `PushSLoad`/`PushSStore` and `StorageExprStore` fusion arms.
@@ -202,11 +201,9 @@ fn kernel_tx(kernel: &str) -> TxInput {
 
 /// One timed chunk of the interpreter A/B: `iters` transactions of the
 /// kernel through `ContractHarness` pinned to one tier. Returns tx/sec.
-fn tier_chunk(kernel: &str, block_lowering: bool, direct_threaded: bool, iters: usize) -> f64 {
+fn tier_chunk(kernel: &str, block_lowering: bool, iters: usize) -> f64 {
     let compiled = kernel_compiled(kernel);
-    let config = FuzzerConfig::default()
-        .with_block_lowering(block_lowering)
-        .with_direct_threaded(direct_threaded);
+    let config = FuzzerConfig::default().with_block_lowering(block_lowering);
     let harness = ContractHarness::new(compiled, &config).expect("kernel should deploy");
     let seq = Sequence::new(vec![kernel_tx(kernel)]);
     let mut frame = ExecFrame::new();
@@ -220,20 +217,18 @@ fn tier_chunk(kernel: &str, block_lowering: bool, direct_threaded: bool, iters: 
     iters as f64 / elapsed
 }
 
-/// Best-of-N rates for one kernel under all three tiers, interleaved so a
+/// Best-of-N rates for one kernel under both tiers, interleaved so a
 /// machine-noise spike hits every side instead of biasing one. Returns
-/// `(predecoded, block_match, direct_threaded)` tx/sec.
-fn kernel_rates(kernel: &str, rounds: usize, iters: usize) -> (f64, f64, f64) {
-    tier_chunk(kernel, true, true, iters / 2); // warm-up: page in all tiers
-    tier_chunk(kernel, true, false, iters / 2);
-    tier_chunk(kernel, false, false, iters / 2);
-    let (mut pre, mut blk, mut thr) = (0.0f64, 0.0f64, 0.0f64);
+/// `(predecoded, block)` tx/sec.
+fn kernel_rates(kernel: &str, rounds: usize, iters: usize) -> (f64, f64) {
+    tier_chunk(kernel, true, iters / 2); // warm-up: page in both tiers
+    tier_chunk(kernel, false, iters / 2);
+    let (mut pre, mut blk) = (0.0f64, 0.0f64);
     for _ in 0..rounds {
-        pre = pre.max(tier_chunk(kernel, false, false, iters));
-        blk = blk.max(tier_chunk(kernel, true, false, iters));
-        thr = thr.max(tier_chunk(kernel, true, true, iters));
+        pre = pre.max(tier_chunk(kernel, false, iters));
+        blk = blk.max(tier_chunk(kernel, true, iters));
     }
-    (pre, blk, thr)
+    (pre, blk)
 }
 
 fn print_report(report: &CampaignReport, sharded: bool) {
@@ -273,14 +268,11 @@ fn tier_json(block_lowering: bool, rate: f64) -> String {
     )
 }
 
-/// JSON record for one kernel: all three tiers side by side.
-fn kernel_json(kernel: &str, pre: f64, blk: f64, thr: f64) -> String {
+/// JSON record for one kernel: both tiers side by side.
+fn kernel_json(kernel: &str, pre: f64, blk: f64) -> String {
     format!(
-        concat!(
-            "\"{}\": {{\"predecoded\": {:.1}, \"block_match\": {:.1}, ",
-            "\"direct_threaded\": {:.1}}}"
-        ),
-        kernel, pre, blk, thr
+        "\"{}\": {{\"predecoded\": {:.1}, \"block\": {:.1}}}",
+        kernel, pre, blk
     )
 }
 
@@ -406,23 +398,20 @@ fn main() {
         round_cost * 100.0
     );
 
-    // The interpreter A/B: each kernel through the raw harness under all
-    // three tiers. Every per-instruction gas charge, stack bounds check
-    // and dispatch decision the lowering, its superinstructions and the
-    // threaded handler chain remove shows up directly here.
+    // The interpreter A/B: each kernel through the raw harness under both
+    // tiers. Every per-instruction gas charge and stack bounds check the
+    // lowering and its superinstructions remove shows up directly here.
     let mut kernel_entries = Vec::new();
     let mut legacy_keys: Option<(f64, f64)> = None;
     let mut block_tier_rates: Vec<(&str, f64)> = Vec::new();
     for kernel in &kernels {
-        let (pre, blk, thr) = kernel_rates(kernel, 12, 5000);
+        let (pre, blk) = kernel_rates(kernel, 12, 5000);
         println!(
-            "interpreter A/B ({kernel}): predecoded {pre:.0}, block-match {blk:.0} \
-             ({:.2}x), direct-threaded {thr:.0} ({:.2}x vs match)",
-            blk / pre,
-            thr / blk
+            "interpreter A/B ({kernel}): predecoded {pre:.0}, block {blk:.0} ({:.2}x)",
+            blk / pre
         );
-        kernel_entries.push(kernel_json(kernel, pre, blk, thr));
-        block_tier_rates.push((kernel, thr));
+        kernel_entries.push(kernel_json(kernel, pre, blk));
+        block_tier_rates.push((kernel, blk));
         // The historical top-level keys track the straight-line kernel
         // (falling back to whatever ran when the suite is filtered).
         if *kernel == "straight_line" || legacy_keys.is_none() {

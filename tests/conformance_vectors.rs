@@ -1,4 +1,4 @@
-//! Conformance vectors: fixture-driven VM tests executed through all four
+//! Conformance vectors: fixture-driven VM tests executed through all three
 //! dispatch tiers.
 //!
 //! Each JSON file under `tests/fixtures/conformance/` holds an array of
@@ -6,10 +6,9 @@
 //! storage), one top-level message, and the expected outcome: halt
 //! classification, exact `gas_used`, return data, post-storage and the
 //! number of conformance events (unimplemented-opcode halts). Every vector
-//! is executed through the legacy decoder, the pre-decoded stream, the
-//! block-lowered `match` dispatcher and the direct-threaded tier; the four
-//! results and post-worlds must be bit-identical *and* match the committed
-//! expectations.
+//! is executed through the legacy decoder, the pre-decoded stream and the
+//! block-lowered tier; the three results and post-worlds must be
+//! bit-identical *and* match the committed expectations.
 //!
 //! The committed vectors pin the semantics the ingestion path depends on:
 //! EIP-2929 warm/cold account and storage-slot pricing, EIP-3529
@@ -223,13 +222,12 @@ fn parse_vector(path: &str, v: &JsonValue) -> Vector {
     }
 }
 
-/// The four execution tiers under comparison (mirrors the decoder
+/// The three execution tiers under comparison (mirrors the decoder
 /// differential suite).
 #[derive(Clone, Copy)]
 enum Tier {
     Legacy,
     Predecoded,
-    BlockMatch,
     Block,
 }
 
@@ -239,14 +237,13 @@ fn run_tier(vector: &Vector, cache: &ProgramCache, tier: Tier) -> (ExecutionResu
     match tier {
         Tier::Legacy => evm.config.legacy_decode = true,
         Tier::Predecoded => evm.config.block_lowering = false,
-        Tier::BlockMatch => evm.config.direct_threaded = false,
         Tier::Block => {}
     }
     let result = evm.execute(&vector.msg);
     (result, world)
 }
 
-/// Execute one vector through all four tiers: assert bit-identity between
+/// Execute one vector through all three tiers: assert bit-identity between
 /// the tiers, then check the committed expectations (or print the observed
 /// values under `MUFUZZ_CONFORMANCE_PRINT=1`).
 fn check_vector(file: &str, vector: &Vector, print_mode: bool) {
@@ -263,23 +260,19 @@ fn check_vector(file: &str, vector: &Vector, print_mode: bool) {
 
     let ctx = format!("{file}: {}", vector.name);
     let (block, world_block) = run_tier(vector, &cache, Tier::Block);
-    for (tier_name, tier) in [
-        ("block-match", Tier::BlockMatch),
-        ("predecoded", Tier::Predecoded),
-        ("legacy", Tier::Legacy),
-    ] {
+    for (tier_name, tier) in [("predecoded", Tier::Predecoded), ("legacy", Tier::Legacy)] {
         let (result, world) = run_tier(vector, &cache, tier);
         assert_eq!(
             block.gas_used, result.gas_used,
-            "{ctx}: gas divergence between direct-threaded and {tier_name}"
+            "{ctx}: gas divergence between block and {tier_name}"
         );
         assert_eq!(
             block, result,
-            "{ctx}: result divergence between direct-threaded and {tier_name}"
+            "{ctx}: result divergence between block and {tier_name}"
         );
         assert_eq!(
             world_block, world,
-            "{ctx}: post-state divergence between direct-threaded and {tier_name}"
+            "{ctx}: post-state divergence between block and {tier_name}"
         );
     }
 

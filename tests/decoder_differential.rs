@@ -3,14 +3,13 @@
 //!
 //! For every corpus contract, 256 seeded calldata inputs (a mix of valid
 //! selectors with random argument words and entirely random byte strings)
-//! are executed **four ways** from identical post-constructor world
-//! snapshots — through the direct-threaded block tier (per-unit handler
-//! pointers — the production default), through the same block tier under
-//! `match` dispatch, through the pre-decoded instruction stream with block
-//! lowering disabled, and through the legacy decoder. The full
-//! [`ExecutionResult`] (success, output, gas remaining, halt reason and the
-//! complete instrumentation trace with its branch records) and the resulting
-//! world state must match bit for bit across all four.
+//! are executed **three ways** from identical post-constructor world
+//! snapshots — through the block-lowered tier (the production default),
+//! through the pre-decoded instruction stream with block lowering disabled,
+//! and through the legacy decoder. The full [`ExecutionResult`] (success,
+//! output, gas remaining, halt reason and the complete instrumentation trace
+//! with its branch records) and the resulting world state must match bit for
+//! bit across all three.
 
 use mufuzz::{ContractHarness, FuzzerConfig};
 use mufuzz_corpus::contracts;
@@ -22,7 +21,7 @@ use std::sync::Arc;
 
 const INPUTS_PER_CONTRACT: usize = 256;
 
-/// The four execution tiers under comparison.
+/// The three execution tiers under comparison.
 #[derive(Clone, Copy, Debug)]
 enum Tier {
     /// Byte-at-a-time decoding in the hot loop (`legacy_decode = true`).
@@ -30,11 +29,7 @@ enum Tier {
     /// Pre-decoded instruction stream, instruction-at-a-time billing
     /// (`block_lowering = false`).
     Predecoded,
-    /// Block-lowered program under the `match` dispatcher
-    /// (`direct_threaded = false`).
-    BlockMatch,
-    /// Block-lowered program dispatched through per-unit handler pointers
-    /// (the default).
+    /// Block-lowered program (the default).
     Block,
 }
 
@@ -85,19 +80,15 @@ fn run_once(
     match tier {
         Tier::Legacy => evm.config.legacy_decode = true,
         Tier::Predecoded => evm.config.block_lowering = false,
-        Tier::BlockMatch => evm.config.direct_threaded = false,
-        Tier::Block => {
-            debug_assert!(evm.config.block_lowering);
-            debug_assert!(evm.config.direct_threaded);
-        }
+        Tier::Block => debug_assert!(evm.config.block_lowering),
     }
     let result = evm.execute(msg);
     (result, world)
 }
 
-/// Run the full 4-tier × [`INPUTS_PER_CONTRACT`] bit-identity sweep over one
+/// Run the full 3-tier × [`INPUTS_PER_CONTRACT`] bit-identity sweep over one
 /// compiled (or ingested) contract.
-fn sweep_four_tiers(name: &str, compiled: mufuzz_lang::CompiledContract) {
+fn sweep_three_tiers(name: &str, compiled: mufuzz_lang::CompiledContract) {
     let harness =
         ContractHarness::new(compiled, &FuzzerConfig::default()).expect("contract must deploy");
 
@@ -123,7 +114,6 @@ fn sweep_four_tiers(name: &str, compiled: mufuzz_lang::CompiledContract) {
         let msg = Message::new(sender, harness.contract_address, value, calldata);
 
         let (block, world_block) = run_once(&harness, &cache, &msg, Tier::Block);
-        let (matched, world_matched) = run_once(&harness, &cache, &msg, Tier::BlockMatch);
         let (decoded, world_decoded) = run_once(&harness, &cache, &msg, Tier::Predecoded);
         let (legacy, world_legacy) = run_once(&harness, &cache, &msg, Tier::Legacy);
 
@@ -131,22 +121,12 @@ fn sweep_four_tiers(name: &str, compiled: mufuzz_lang::CompiledContract) {
         // gas remaining — the sharpest signal when block settlement or a
         // fused arm misbills, so it gets its own assertion.
         assert_eq!(
-            block.gas_used, matched.gas_used,
-            "{name}: dispatch gas divergence on input #{case}"
-        );
-        assert_eq!(
             block.gas_used, decoded.gas_used,
             "{name}: block-lowered gas divergence on input #{case}"
         );
         assert_eq!(
             decoded.gas_used, legacy.gas_used,
             "{name}: pre-decoded gas divergence on input #{case}"
-        );
-        assert_eq!(
-            block,
-            matched,
-            "{name}: dispatch divergence on input #{case} ({} calldata bytes)",
-            msg.data.len()
         );
         assert_eq!(
             block,
@@ -165,10 +145,6 @@ fn sweep_four_tiers(name: &str, compiled: mufuzz_lang::CompiledContract) {
             "{name}: branch trace divergence on input #{case}"
         );
         assert_eq!(
-            world_block, world_matched,
-            "{name}: dispatch committed state divergence on input #{case}"
-        );
-        assert_eq!(
             world_block, world_decoded,
             "{name}: block-lowered committed state divergence on input #{case}"
         );
@@ -180,15 +156,15 @@ fn sweep_four_tiers(name: &str, compiled: mufuzz_lang::CompiledContract) {
 }
 
 #[test]
-fn direct_threaded_pipeline_is_bit_identical_to_all_slower_tiers() {
+fn block_pipeline_is_bit_identical_to_all_slower_tiers() {
     for bench in contracts::all_handwritten() {
         let compiled = compile_source(&bench.source).expect("corpus contract must compile");
-        sweep_four_tiers(&bench.name, compiled);
+        sweep_three_tiers(&bench.name, compiled);
     }
 }
 
 /// An ingested real-bytecode contract (ABI JSON + runtime hex, no
-/// toy-language source) goes through the identical 4-tier × 256-input
+/// toy-language source) goes through the identical 3-tier × 256-input
 /// sweep: the conformance surface added for arbitrary bytecode must stay
 /// bit-identical across every dispatch tier too.
 #[test]
@@ -198,7 +174,7 @@ fn ingested_real_bytecode_is_bit_identical_across_all_tiers() {
     let ingested =
         mufuzz_corpus::ingest("VaultToken", &abi_json, &bytecode_hex).expect("fixture must ingest");
     assert!(ingested.skipped.is_empty());
-    sweep_four_tiers("VaultToken", ingested.compiled);
+    sweep_three_tiers("VaultToken", ingested.compiled);
 }
 
 /// Whole-sequence equivalence: the harness's production path (block-lowered,
