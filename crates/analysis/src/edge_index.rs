@@ -21,7 +21,6 @@
 
 use crate::cfg::ControlFlowGraph;
 use mufuzz_evm::{Address, BlockProgram, BranchEdge, DecodedProgram, Opcode};
-use std::collections::HashMap;
 
 /// A stable, dense `u32` numbering of the branch edges of one contract.
 ///
@@ -48,54 +47,27 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct EdgeIndex {
     code_address: Address,
-    /// `JUMPI` pc → branch rank (position in ascending pc order).
-    ranks: HashMap<usize, u32>,
+    /// Branch rank (position in ascending pc order) of the `JUMPI` at each
+    /// pc, or [`EdgeIndex::NOT_A_BRANCH`]; the table ends at the last
+    /// `JUMPI`, so a lookup is one bounds-checked load.
+    ranks: Vec<u32>,
     /// Dense id → edge, in id order.
     edges: Vec<BranchEdge>,
 }
 
 impl EdgeIndex {
-    /// Number the branch edges of `cfg`, attributing them to the contract
-    /// deployed at `code_address`.
-    pub fn build(cfg: &ControlFlowGraph, code_address: Address) -> EdgeIndex {
-        let mut ranks = HashMap::with_capacity(cfg.branches.len());
-        let mut edges = Vec::with_capacity(cfg.branches.len() * 2);
-        for (rank, pc) in cfg.branches.keys().enumerate() {
-            ranks.insert(*pc, rank as u32);
-            for taken in [false, true] {
-                edges.push(BranchEdge {
-                    code_address,
-                    pc: *pc,
-                    taken,
-                });
-            }
-        }
-        EdgeIndex {
-            code_address,
-            ranks,
-            edges,
-        }
-    }
+    /// `ranks` entry of a pc that holds no `JUMPI`.
+    const NOT_A_BRANCH: u32 = u32::MAX;
 
-    /// Number the branch edges directly from a pre-decoded instruction
-    /// stream, without re-scanning the bytecode or building a CFG.
-    ///
-    /// The numbering is identical to [`EdgeIndex::build`] by construction:
-    /// both enumerate the `JUMPI` sites of the same code in ascending
-    /// program-counter order (the decoded stream is in code order, and every
-    /// `JUMPI` terminates a CFG block, so the CFG's branch map contains
-    /// exactly the stream's `JUMPI` pcs). The harness uses this at build
-    /// time, reusing the program it decodes for the interpreter fast path.
-    pub fn from_program(program: &DecodedProgram, code_address: Address) -> EdgeIndex {
-        let mut ranks = HashMap::new();
+    /// Number the `JUMPI` sites at `pcs`, which must be strictly ascending.
+    fn from_jumpi_pcs(pcs: impl Iterator<Item = usize>, code_address: Address) -> EdgeIndex {
+        let mut ranks = Vec::new();
         let mut edges = Vec::new();
-        for instr in program
-            .instructions()
-            .iter()
-            .filter(|i| i.op == Opcode::JumpI)
-        {
-            let pc = instr.pc as usize;
-            ranks.insert(pc, ranks.len() as u32);
+        for (rank, pc) in pcs.enumerate() {
+            // Out of order, `resize` would shrink the table and lose ranks.
+            assert!(pc >= ranks.len(), "JUMPI pcs must ascend");
+            ranks.resize(pc + 1, Self::NOT_A_BRANCH);
+            ranks[pc] = rank as u32;
             for taken in [false, true] {
                 edges.push(BranchEdge {
                     code_address,
@@ -109,6 +81,30 @@ impl EdgeIndex {
             ranks,
             edges,
         }
+    }
+
+    /// Number the branch edges of `cfg`, attributing them to the contract
+    /// deployed at `code_address`.
+    pub fn build(cfg: &ControlFlowGraph, code_address: Address) -> EdgeIndex {
+        Self::from_jumpi_pcs(cfg.branches.keys().copied(), code_address)
+    }
+
+    /// Number the branch edges directly from a pre-decoded instruction
+    /// stream, without re-scanning the bytecode or building a CFG.
+    ///
+    /// The numbering is identical to [`EdgeIndex::build`] by construction:
+    /// both enumerate the `JUMPI` sites of the same code in ascending
+    /// program-counter order (the decoded stream is in code order, and every
+    /// `JUMPI` terminates a CFG block, so the CFG's branch map contains
+    /// exactly the stream's `JUMPI` pcs). The harness uses this at build
+    /// time, reusing the program it decodes for the interpreter fast path.
+    pub fn from_program(program: &DecodedProgram, code_address: Address) -> EdgeIndex {
+        let pcs = program
+            .instructions()
+            .iter()
+            .filter(|i| i.op == Opcode::JumpI)
+            .map(|i| i.pc as usize);
+        Self::from_jumpi_pcs(pcs, code_address)
     }
 
     /// Number the branch edges at block granularity: one rank per basic
@@ -122,28 +118,13 @@ impl EdgeIndex {
     /// while the bitmap is sized from the block-edge count.
     pub fn from_blocks(program: &BlockProgram, code_address: Address) -> EdgeIndex {
         let instrs = program.base().instructions();
-        let mut ranks = HashMap::new();
-        let mut edges = Vec::new();
-        for block in program.blocks() {
-            let last = &instrs[block.instr_end as usize - 1];
-            if last.op != Opcode::JumpI {
-                continue;
-            }
-            let pc = last.pc as usize;
-            ranks.insert(pc, ranks.len() as u32);
-            for taken in [false, true] {
-                edges.push(BranchEdge {
-                    code_address,
-                    pc,
-                    taken,
-                });
-            }
-        }
-        EdgeIndex {
-            code_address,
-            ranks,
-            edges,
-        }
+        let pcs = program
+            .blocks()
+            .iter()
+            .map(|block| &instrs[block.instr_end as usize - 1])
+            .filter(|last| last.op == Opcode::JumpI)
+            .map(|last| last.pc as usize);
+        Self::from_jumpi_pcs(pcs, code_address)
     }
 
     /// The dense id of `edge`, or `None` when the edge does not belong to the
@@ -152,9 +133,10 @@ impl EdgeIndex {
         if edge.code_address != self.code_address {
             return None;
         }
-        self.ranks
-            .get(&edge.pc)
-            .map(|rank| rank * 2 + u32::from(edge.taken))
+        match self.ranks.get(edge.pc) {
+            Some(&rank) if rank != Self::NOT_A_BRANCH => Some(rank * 2 + u32::from(edge.taken)),
+            _ => None,
+        }
     }
 
     /// The edge behind a dense id (inverse of [`EdgeIndex::id_of`]).
@@ -194,6 +176,26 @@ mod tests {
             function check() public { if (total > 5) { bug(); } }
         }
     "#;
+
+    /// Edges no numbering of `cfg`'s code may resolve: a pc one past the
+    /// last `JUMPI` (the end of the pc table), a pc inside the table that
+    /// holds no `JUMPI`, and a real `JUMPI` attributed to a foreign address.
+    fn unindexed_probes(cfg: &ControlFlowGraph, addr: Address) -> [BranchEdge; 3] {
+        let last = *cfg.branches.keys().next_back().expect("SOURCE branches");
+        let plain = (0..last)
+            .find(|pc| !cfg.branches.contains_key(pc))
+            .expect("code before the last JUMPI holds other opcodes");
+        let at = |code_address, pc| BranchEdge {
+            code_address,
+            pc,
+            taken: true,
+        };
+        [
+            at(addr, last + 1),
+            at(addr, plain),
+            at(Address::from_low_u64(0xBEEF), last),
+        ]
+    }
 
     fn index() -> (ControlFlowGraph, EdgeIndex) {
         let compiled = compile_source(SOURCE).unwrap();
@@ -262,6 +264,10 @@ mod tests {
         for edge in (0..from_cfg.len() as u32).filter_map(|id| from_cfg.edge_of(id)) {
             assert_eq!(from_cfg.id_of(&edge), from_program.id_of(&edge));
         }
+        for probe in unindexed_probes(&cfg, addr) {
+            assert_eq!(from_cfg.id_of(&probe), None, "{probe}");
+            assert_eq!(from_program.id_of(&probe), None, "{probe}");
+        }
     }
 
     #[test]
@@ -294,6 +300,9 @@ mod tests {
         for edge in (0..from_blocks.len() as u32).filter_map(|id| from_blocks.edge_of(id)) {
             assert_eq!(from_blocks.id_of(&edge), from_program.id_of(&edge));
             assert_eq!(from_blocks.id_of(&edge), from_cfg.id_of(&edge));
+        }
+        for probe in unindexed_probes(&cfg, addr) {
+            assert_eq!(from_blocks.id_of(&probe), None, "{probe}");
         }
     }
 

@@ -22,6 +22,23 @@ fn bench_u256(c: &mut Criterion) {
     group.bench_function("div_rem", |bencher| {
         bencher.iter(|| black_box(a).div_rem(black_box(b)))
     });
+    // Division by operand width: `dividend/divisor` bits. Only 256/256
+    // takes the multi-limb path; a divisor of one limb takes one `u128` pass.
+    let of_bits = |v: U256, bits: u32| v.shr_bits(256 - bits) | U256::ONE.shl_bits(bits - 1);
+    let mixed = !b.wrapping_mul(a);
+    for (num_bits, den_bits) in [(20, 3), (64, 14), (256, 30), (256, 256)] {
+        let (x, y) = (of_bits(a, num_bits), of_bits(mixed, den_bits));
+        // Dividend >= divisor, so equal widths divide instead of returning early.
+        let (num, den) = (x.max(y), x.min(y));
+        group.bench_function(format!("div_rem/{num_bits}by{den_bits}"), |bencher| {
+            bencher.iter(|| black_box(num).div_rem(black_box(den)))
+        });
+    }
+    // The executor's `msg.value` cap: a full word reduced modulo 1000 ether.
+    let cap = mufuzz_evm::ether(1_000);
+    group.bench_function("mod_ether_1000", |bencher| {
+        bencher.iter(|| black_box(a) % black_box(cap))
+    });
     group.bench_function("to_dec_string", |bencher| {
         bencher.iter(|| black_box(a).to_dec_string())
     });

@@ -307,10 +307,10 @@ impl CampaignShared {
     /// overflow set.
     fn merge_coverage(&self, outcome: &SequenceOutcome, harness: &ContractHarness) -> usize {
         let mut new_edges = self.coverage.merge_ids(&outcome.covered_edge_ids);
-        if outcome.covered_edge_ids.len() != outcome.covered_edges.len() {
+        if !outcome.unindexed_edges.is_empty() {
             new_edges += self
                 .coverage
-                .merge_unindexed(&outcome.covered_edges, harness.edge_index());
+                .merge_unindexed(&outcome.unindexed_edges, harness.edge_index());
         }
         new_edges
     }

@@ -166,7 +166,7 @@ impl CoverageMap {
     /// Merge the edges of `covered` that the index cannot number into the
     /// overflow set, returning how many were new. Indexed edges are skipped —
     /// they are expected to arrive through [`CoverageMap::merge_ids`].
-    pub fn merge_unindexed(&self, covered: &BTreeSet<BranchEdge>, index: &EdgeIndex) -> usize {
+    pub fn merge_unindexed(&self, covered: &[BranchEdge], index: &EdgeIndex) -> usize {
         let mut overflow = self.overflow.lock().expect("coverage overflow poisoned");
         let before = overflow.len();
         overflow.extend(
@@ -446,10 +446,9 @@ mod tests {
             pc: 7,
             taken: true,
         };
-        let covered: BTreeSet<BranchEdge> = [edge].into_iter().collect();
         assert!(!map.contains_edge(&edge, &index));
-        assert_eq!(map.merge_unindexed(&covered, &index), 1);
-        assert_eq!(map.merge_unindexed(&covered, &index), 0);
+        assert_eq!(map.merge_unindexed(&[edge], &index), 1);
+        assert_eq!(map.merge_unindexed(&[edge], &index), 0);
         assert!(map.contains_edge(&edge, &index));
         assert_eq!(map.covered_count(), 1);
     }

@@ -15,7 +15,6 @@ use mufuzz_evm::{
     HostBehaviour, Message, ProgramCache, WorldState, U256,
 };
 use mufuzz_lang::CompiledContract;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -42,14 +41,14 @@ fn value_cap() -> U256 {
 pub struct SequenceOutcome {
     /// Per-transaction execution traces (same order as the sequence).
     pub traces: Vec<ExecutionTrace>,
-    /// Union of branch edges covered by all transactions.
-    pub covered_edges: BTreeSet<BranchEdge>,
-    /// The same edges as dense ids from the harness's [`EdgeIndex`], sorted
-    /// ascending. This is what the campaign merges into its atomic coverage
-    /// bitmap without taking any lock. Edges the index cannot number (none in
-    /// practice) appear only in `covered_edges`, so a length mismatch between
-    /// the two collections flags them.
+    /// The distinct branch edges covered by all transactions, as dense ids
+    /// from the harness's [`EdgeIndex`], sorted ascending. This is what the
+    /// campaign merges into its atomic coverage bitmap without taking any
+    /// lock.
     pub covered_edge_ids: Vec<u32>,
+    /// The distinct covered edges the index cannot number, sorted; empty in
+    /// practice (the index is built from the code the interpreter runs).
+    pub unindexed_edges: Vec<BranchEdge>,
     /// World state after the whole sequence.
     pub final_world: WorldState,
     /// Number of transactions that completed successfully.
@@ -235,7 +234,6 @@ impl ContractHarness {
         let mut world = self.base_world.snapshot();
         let mut block = self.base_block;
         let mut traces = Vec::with_capacity(sequence.len());
-        let mut covered = BTreeSet::new();
         let mut successes = 0usize;
 
         for tx in &sequence.txs {
@@ -244,25 +242,30 @@ impl ContractHarness {
             if trace.success() {
                 successes += 1;
             }
-            trace.merge_edges_into(&mut covered);
             traces.push(trace);
         }
 
-        // Dense ids for the atomic coverage bitmap. `covered` iterates in
-        // ascending (address, pc, taken) order, which the index maps to
-        // ascending ids for the single contract under test; the defensive
-        // sort is a no-op then and keeps the contract documented on
-        // `covered_edge_ids` honest if that ever changes.
-        let mut covered_edge_ids: Vec<u32> = covered
-            .iter()
-            .filter_map(|edge| self.edge_index.id_of(edge))
-            .collect();
+        // Coverage straight from the branch records: each maps to its dense
+        // id with one table load, and sort + dedup turns the visit list into
+        // the covered set.
+        let visits = traces.iter().map(|t| t.branches.len()).sum();
+        let mut covered_edge_ids = Vec::with_capacity(visits);
+        let mut unindexed_edges = Vec::new();
+        for edge in traces.iter().flat_map(ExecutionTrace::edges) {
+            match self.edge_index.id_of(&edge) {
+                Some(id) => covered_edge_ids.push(id),
+                None => unindexed_edges.push(edge),
+            }
+        }
         covered_edge_ids.sort_unstable();
+        covered_edge_ids.dedup();
+        unindexed_edges.sort_unstable();
+        unindexed_edges.dedup();
 
         SequenceOutcome {
             traces,
-            covered_edges: covered,
             covered_edge_ids,
+            unindexed_edges,
             final_world: world,
             successes,
         }
@@ -384,7 +387,7 @@ mod tests {
             TxInput::simple("withdraw"),
         ]);
         let outcome_full = h.execute_sequence(&full);
-        assert!(outcome_full.covered_edges.len() > outcome_single.covered_edges.len());
+        assert!(outcome_full.covered_edge_ids.len() > outcome_single.covered_edge_ids.len());
         assert_eq!(outcome_full.traces.len(), 3);
         assert!(outcome_full.any_success());
     }
@@ -424,11 +427,17 @@ mod tests {
             TxInput::simple("refund"),
             TxInput::simple("withdraw"),
         ]));
-        // Every covered edge is indexable, and the id list is its exact
-        // sorted image.
-        assert_eq!(outcome.covered_edge_ids.len(), outcome.covered_edges.len());
+        // Every covered edge is indexable, and the id list is the exact
+        // sorted image of the edges the branch records visited.
+        assert!(outcome.unindexed_edges.is_empty());
         assert!(outcome.covered_edge_ids.windows(2).all(|w| w[0] < w[1]));
-        for edge in &outcome.covered_edges {
+        let covered: std::collections::BTreeSet<BranchEdge> = outcome
+            .traces
+            .iter()
+            .flat_map(ExecutionTrace::edges)
+            .collect();
+        assert_eq!(outcome.covered_edge_ids.len(), covered.len());
+        for edge in &covered {
             let id = h.edge_index().id_of(edge).expect("edge must be indexed");
             assert!(outcome.covered_edge_ids.binary_search(&id).is_ok());
             assert_eq!(h.edge_index().edge_of(id), Some(*edge));

@@ -293,6 +293,8 @@ impl CampaignService {
     /// continues bit-for-bit where the checkpoint left off. Under the round
     /// profile the snapshot is worker-count independent: it can resume at
     /// *any* `config.workers` and still produce the bit-identical campaign.
+    /// A snapshot that has already spent more executions than the
+    /// configuration's budget is rejected as [`SnapshotError::Corrupt`].
     pub fn resume(
         &self,
         compiled: CompiledContract,
@@ -312,6 +314,14 @@ impl CampaignService {
     ) -> Result<CampaignHandle, SnapshotError> {
         if contract_fingerprint(&compiled) != snapshot.contract_hash {
             return Err(SnapshotError::ContractMismatch);
+        }
+        if snapshot.executions() > config.max_executions() {
+            // A lane would overshoot its budget before its first step.
+            return Err(SnapshotError::Corrupt(format!(
+                "{} executions already spent for a budget of {}",
+                snapshot.executions(),
+                config.max_executions()
+            )));
         }
         let config_profile = if config.round_mode() {
             PROFILE_ROUND

@@ -1060,7 +1060,6 @@ impl<'w> Evm<'w> {
                                 depth,
                                 code_address,
                             };
-                            trace.covered_edges.insert(record.edge());
                             trace.branches.push(record);
                             last_cmp = None;
                             if taken {
@@ -1111,7 +1110,6 @@ impl<'w> Evm<'w> {
                                 depth,
                                 code_address,
                             };
-                            trace.covered_edges.insert(record.edge());
                             trace.branches.push(record);
                             last_cmp = None;
                             if taken {
@@ -2328,7 +2326,6 @@ impl<'w> Evm<'w> {
                         depth,
                         code_address,
                     };
-                    trace.covered_edges.insert(record.edge());
                     trace.branches.push(record);
                     last_cmp = None;
                     if taken {
@@ -3195,7 +3192,7 @@ mod tests {
         assert!(result.success, "halt: {:?}", result.halt);
         assert_eq!(result.trace.branches.len(), 1);
         assert!(result.trace.branches[0].taken);
-        assert_eq!(result.trace.covered_edges.len(), 1);
+        assert_eq!(result.trace.edges().count(), 1);
     }
 
     #[test]

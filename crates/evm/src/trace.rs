@@ -9,7 +9,6 @@
 use crate::opcode::Opcode;
 use crate::types::Address;
 use crate::u256::U256;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Lightweight taint labels propagated through the EVM stack.
@@ -414,10 +413,10 @@ pub struct ExecutionTrace {
     pub instr_count: u64,
     /// Presence set of every opcode executed at any depth.
     pub ops_seen: OpcodeSet,
-    /// Conditional branch decisions in execution order.
+    /// Conditional branch decisions in execution order. Branch coverage
+    /// derives from these records alone: the edges a trace exercised are
+    /// exactly [`ExecutionTrace::edges`].
     pub branches: Vec<BranchRecord>,
-    /// Distinct branch edges exercised.
-    pub covered_edges: BTreeSet<BranchEdge>,
     /// Arithmetic truncation events.
     pub arith_events: Vec<ArithEvent>,
     /// External calls.
@@ -491,11 +490,10 @@ impl ExecutionTrace {
             .filter(move |b| b.code_address == address)
     }
 
-    /// Merge the coverage of another trace into an accumulated edge set.
-    pub fn merge_edges_into(&self, acc: &mut BTreeSet<BranchEdge>) -> usize {
-        let before = acc.len();
-        acc.extend(self.covered_edges.iter().copied());
-        acc.len() - before
+    /// The branch edge of every recorded branch decision, in execution
+    /// order (repeats included).
+    pub fn edges(&self) -> impl Iterator<Item = BranchEdge> + '_ {
+        self.branches.iter().map(BranchRecord::edge)
     }
 }
 
@@ -589,17 +587,24 @@ mod tests {
     #[test]
     fn trace_edge_merging_counts_new_edges() {
         let mut trace = ExecutionTrace::new();
-        let edge = |pc, taken| BranchEdge {
-            code_address: Address::from_low_u64(1),
+        let record = |pc, taken| BranchRecord {
             pc,
+            dest: 40,
             taken,
+            cond_taint: Taint::empty(),
+            comparison: None,
+            depth: 0,
+            code_address: Address::from_low_u64(1),
         };
-        trace.covered_edges.insert(edge(1, true));
-        trace.covered_edges.insert(edge(1, false));
-        let mut acc = BTreeSet::new();
-        acc.insert(edge(1, true));
-        let added = trace.merge_edges_into(&mut acc);
-        assert_eq!(added, 1);
+        trace.branches.push(record(1, true));
+        trace.branches.push(record(1, false));
+        trace.branches.push(record(1, true));
+        let mut acc = std::collections::BTreeSet::new();
+        acc.insert(record(1, true).edge());
+        let before = acc.len();
+        acc.extend(trace.edges());
+        assert_eq!(trace.edges().count(), 3);
+        assert_eq!(acc.len() - before, 1);
         assert_eq!(acc.len(), 2);
     }
 }

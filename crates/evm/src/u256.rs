@@ -254,21 +254,8 @@ impl U256 {
         if rhs == U256::ONE {
             return (self, U256::ZERO);
         }
-        // Binary long division: O(256) shift-subtract steps.
-        let mut quotient = U256::ZERO;
-        let mut remainder = U256::ZERO;
-        let n = self.bits();
-        for i in (0..n).rev() {
-            remainder = remainder.shl_bits(1);
-            if self.bit(i as usize) {
-                remainder.0[0] |= 1;
-            }
-            if remainder >= rhs {
-                remainder = remainder.wrapping_sub(rhs);
-                quotient = quotient.set_bit(i as usize);
-            }
-        }
-        (quotient, remainder)
+        let (quotient, remainder) = div_rem_limbs(&self.0, &rhs);
+        (U256(quotient), remainder)
     }
 
     /// Two's-complement negation, wrapping at 2^256 (`-MIN == MIN`).
@@ -315,31 +302,6 @@ impl U256 {
         }
     }
 
-    /// Reduce a little-endian wide limb value modulo `m` by binary long
-    /// division. `m` must be non-zero.
-    fn reduce_limbs(limbs: &[u64], m: U256) -> U256 {
-        let top = limbs
-            .iter()
-            .rposition(|&l| l != 0)
-            .map(|i| i * 64 + 64 - limbs[i].leading_zeros() as usize)
-            .unwrap_or(0);
-        let mut r = U256::ZERO;
-        for i in (0..top).rev() {
-            // r < m before the shift, so the true value 2r + bit fits in 257
-            // bits and needs at most one subtraction of m; `carry` tracks the
-            // bit shifted past 2^256.
-            let carry = r.bit(255);
-            r = r.shl_bits(1);
-            if (limbs[i / 64] >> (i % 64)) & 1 == 1 {
-                r.0[0] |= 1;
-            }
-            if carry || r >= m {
-                r = r.wrapping_sub(m);
-            }
-        }
-        r
-    }
-
     /// EVM `ADDMOD`: `(self + rhs) % m` over the unbounded 257-bit sum.
     /// A zero modulus yields zero.
     pub fn add_mod(self, rhs: U256, m: U256) -> U256 {
@@ -351,7 +313,7 @@ impl U256 {
             return sum.div_rem(m).1;
         }
         let limbs = [sum.0[0], sum.0[1], sum.0[2], sum.0[3], 1];
-        Self::reduce_limbs(&limbs, m)
+        div_rem_limbs(&limbs, &m).1
     }
 
     /// EVM `MULMOD`: `(self * rhs) % m` over the unbounded 512-bit product.
@@ -360,12 +322,7 @@ impl U256 {
         if m.is_zero() {
             return U256::ZERO;
         }
-        Self::reduce_limbs(&self.full_mul_limbs(rhs), m)
-    }
-
-    fn set_bit(mut self, i: usize) -> U256 {
-        self.0[i / 64] |= 1 << (i % 64);
-        self
+        div_rem_limbs(&self.full_mul_limbs(rhs), &m).1
     }
 
     /// Left shift by an arbitrary number of bits (values >= 256 yield zero).
@@ -482,6 +439,186 @@ impl U256 {
         let bytes = self.to_be_bytes();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         format!("0x{}", hex.trim_start_matches('0'))
+    }
+}
+
+/// Quotient and remainder of the little-endian limb number `num` (at most
+/// eight limbs) by the non-zero `den`.
+///
+/// One algorithm serves every width: Knuth's algorithm D (TAOCP vol. 2,
+/// §4.3.1) on 64-bit digits with 128-bit intermediates, preceded by a
+/// single `u128` pass when the divisor fits in one limb. The quotient of an
+/// `N`-limb dividend fits in `N` limbs.
+fn div_rem_limbs<const N: usize>(num: &[u64; N], den: &U256) -> ([u64; N], U256) {
+    const { assert!(N <= 8) };
+    let mut quotient = [0u64; N];
+    let n = den
+        .0
+        .iter()
+        .rposition(|&l| l != 0)
+        .expect("non-zero divisor")
+        + 1;
+    let Some(top) = num.iter().rposition(|&l| l != 0) else {
+        return (quotient, U256::ZERO);
+    };
+    let m = top + 1;
+    if m < n {
+        // The dividend is below the divisor, so it fits in the divisor's limbs.
+        let mut rem = [0u64; 4];
+        rem[..m].copy_from_slice(&num[..m]);
+        return (quotient, U256(rem));
+    }
+    if n == 1 {
+        let d = u128::from(den.0[0]);
+        let mut rem = 0u128;
+        for i in (0..m).rev() {
+            let cur = (rem << 64) | u128::from(num[i]);
+            quotient[i] = (cur / d) as u64;
+            rem = cur % d;
+        }
+        return (quotient, U256::from_u64(rem as u64));
+    }
+
+    // D1: normalise so the divisor's top limb has its high bit set; the
+    // dividend gains one limb. `x >> 1 >> (63 - s)` is `x >> (64 - s)`,
+    // and zero for `s == 0`.
+    let s = den.0[n - 1].leading_zeros();
+    let mut v = [0u64; 4];
+    for i in (1..n).rev() {
+        v[i] = (den.0[i] << s) | (den.0[i - 1] >> 1 >> (63 - s));
+    }
+    v[0] = den.0[0] << s;
+    let mut u = [0u64; 9];
+    u[m] = num[m - 1] >> 1 >> (63 - s);
+    for i in (1..m).rev() {
+        u[i] = (num[i] << s) | (num[i - 1] >> 1 >> (63 - s));
+    }
+    u[0] = num[0] << s;
+
+    const BASE: u128 = 1 << 64;
+    let (v_top, v_next) = (u128::from(v[n - 1]), u128::from(v[n - 2]));
+    for j in (0..=m - n).rev() {
+        // D3: estimate the quotient digit from the top two limbs, then
+        // correct it (at most twice) against the third.
+        let window = (u128::from(u[j + n]) << 64) | u128::from(u[j + n - 1]);
+        let mut qhat = window / v_top;
+        let mut rhat = window % v_top;
+        while qhat >= BASE || qhat * v_next > ((rhat << 64) | u128::from(u[j + n - 2])) {
+            #[cfg(test)]
+            tests::note_fixup(0);
+            qhat -= 1;
+            rhat += v_top;
+            if rhat >= BASE {
+                break;
+            }
+        }
+        // D4: multiply and subtract `qhat · v` from the window. Every
+        // intermediate fits its type: `borrow` stays within 2^64 + 1.
+        let mut borrow: i128 = 0;
+        for i in 0..n {
+            let product = qhat * u128::from(v[i]);
+            let t = i128::from(u[i + j]) - borrow - i128::from(product as u64);
+            u[i + j] = t as u64;
+            borrow = (product >> 64) as i128 - (t >> 64);
+        }
+        let t = i128::from(u[j + n]) - borrow;
+        u[j + n] = t as u64;
+        // D5/D6: a negative window means `qhat` was one too large; add the
+        // divisor back once (the carry out cancels the borrow).
+        if t < 0 {
+            #[cfg(test)]
+            tests::note_fixup(1);
+            qhat -= 1;
+            let mut carry = 0u128;
+            for i in 0..n {
+                let sum = u128::from(u[i + j]) + u128::from(v[i]) + carry;
+                u[i + j] = sum as u64;
+                carry = sum >> 64;
+            }
+            u[j + n] = u[j + n].wrapping_add(carry as u64);
+        }
+        quotient[j] = qhat as u64;
+    }
+
+    // D8: the remainder is the low `n` limbs, shifted back.
+    let mut rem = [0u64; 4];
+    for i in 0..n {
+        rem[i] = (u[i] >> s) | (u[i + 1] << 1 << (63 - s));
+    }
+    (quotient, U256(rem))
+}
+
+/// The original bit-serial division: one shift-subtract step per dividend
+/// bit. Kept as the differential reference for [`div_rem_limbs`].
+#[cfg(test)]
+mod reference {
+    use super::U256;
+
+    /// Binary long division of `num` by `den`; zero divides to `(0, 0)`.
+    pub(super) fn div_rem(num: U256, den: U256) -> (U256, U256) {
+        if den.is_zero() {
+            return (U256::ZERO, U256::ZERO);
+        }
+        if num < den {
+            return (U256::ZERO, num);
+        }
+        let mut quotient = U256::ZERO;
+        let mut remainder = U256::ZERO;
+        for i in (0..num.bits()).rev() {
+            remainder = remainder.shl_bits(1);
+            if num.bit(i as usize) {
+                remainder.0[0] |= 1;
+            }
+            if remainder >= den {
+                remainder = remainder.wrapping_sub(den);
+                quotient.0[i as usize / 64] |= 1 << (i % 64);
+            }
+        }
+        (quotient, remainder)
+    }
+
+    /// Reduce a little-endian wide limb value modulo the non-zero `m`.
+    pub(super) fn rem_limbs(limbs: &[u64], m: U256) -> U256 {
+        let top = limbs
+            .iter()
+            .rposition(|&l| l != 0)
+            .map(|i| i * 64 + 64 - limbs[i].leading_zeros() as usize)
+            .unwrap_or(0);
+        let mut r = U256::ZERO;
+        for i in (0..top).rev() {
+            // r < m before the shift, so the true value 2r + bit fits in 257
+            // bits and needs at most one subtraction of m; `carry` tracks the
+            // bit shifted past 2^256.
+            let carry = r.bit(255);
+            r = r.shl_bits(1);
+            if (limbs[i / 64] >> (i % 64)) & 1 == 1 {
+                r.0[0] |= 1;
+            }
+            if carry || r >= m {
+                r = r.wrapping_sub(m);
+            }
+        }
+        r
+    }
+
+    /// `ADDMOD` through the bit-serial reduction.
+    pub(super) fn add_mod(a: U256, b: U256, m: U256) -> U256 {
+        if m.is_zero() {
+            return U256::ZERO;
+        }
+        let (sum, carry) = a.overflowing_add(b);
+        rem_limbs(
+            &[sum.0[0], sum.0[1], sum.0[2], sum.0[3], u64::from(carry)],
+            m,
+        )
+    }
+
+    /// `MULMOD` through the bit-serial reduction.
+    pub(super) fn mul_mod(a: U256, b: U256, m: U256) -> U256 {
+        if m.is_zero() {
+            return U256::ZERO;
+        }
+        rem_limbs(&a.full_mul_limbs(b), m)
     }
 }
 
@@ -632,9 +769,140 @@ impl fmt::Display for U256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn u(v: u64) -> U256 {
         U256::from_u64(v)
+    }
+
+    thread_local! {
+        /// Knuth D fix-ups this thread has taken: `qhat` corrections and
+        /// add-backs.
+        static FIXUPS: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    /// Count one fix-up of kind `step` (0 = correction, 1 = add-back).
+    pub(super) fn note_fixup(step: usize) {
+        FIXUPS.with(|f| {
+            let mut counts = f.get();
+            counts[step] += 1;
+            f.set(counts);
+        });
+    }
+
+    /// Limb values at the edges of the digit range, where `qhat` estimates
+    /// go wrong most often.
+    const EDGE_LIMBS: [u64; 8] = [
+        0,
+        1,
+        2,
+        1 << 62,
+        (1 << 63) - 1,
+        1 << 63,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    /// An operand of shape `kind` built from the random `limbs`:
+    /// 0 edge-valued limbs, 1 one, 2 `MAX`, 3 a top limb of exactly
+    /// `1 << 63` above random limbs, anything else exactly `width` bits.
+    fn operand(kind: usize, limbs: &[u64], width: usize) -> U256 {
+        match kind {
+            0 => U256([0, 1, 2, 3].map(|i| EDGE_LIMBS[limbs[i] as usize % EDGE_LIMBS.len()])),
+            1 => U256::ONE,
+            2 => U256::MAX,
+            3 => {
+                let top = width % 4;
+                let mut v = [0u64; 4];
+                v[..top].copy_from_slice(&limbs[..top]);
+                v[top] = 1 << 63;
+                U256(v)
+            }
+            _ if width == 0 => U256::ZERO,
+            _ => {
+                let v = U256([limbs[0], limbs[1], limbs[2], limbs[3]]);
+                v.shr_bits(256 - width as u32) | U256::ONE.shl_bits(width as u32 - 1)
+            }
+        }
+    }
+
+    /// Compare all three limb-division entry points with the bit-serial
+    /// reference on one dividend/divisor pair (`y` is the second operand
+    /// of `ADDMOD`/`MULMOD`).
+    fn assert_matches_reference(x: U256, y: U256, m: U256) {
+        assert_eq!(x.div_rem(m), reference::div_rem(x, m), "{x:?} / {m:?}");
+        assert_eq!(
+            x.add_mod(y, m),
+            reference::add_mod(x, y, m),
+            "{x:?} + {y:?} mod {m:?}"
+        );
+        assert_eq!(
+            x.mul_mod(y, m),
+            reference::mul_mod(x, y, m),
+            "{x:?} * {y:?} mod {m:?}"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn limb_division_matches_the_bit_serial_reference(
+            x_limbs in proptest::collection::vec(any::<u64>(), 4..5),
+            y_limbs in proptest::collection::vec(any::<u64>(), 4..5),
+            m_limbs in proptest::collection::vec(any::<u64>(), 4..5),
+            widths in proptest::collection::vec(0usize..257, 3..4),
+            kinds in proptest::collection::vec(0usize..8, 3..4),
+        ) {
+            let x = operand(kinds[0], &x_limbs, widths[0]);
+            let y = operand(kinds[1], &y_limbs, widths[1]);
+            let m = operand(kinds[2], &m_limbs, widths[2]);
+            assert_matches_reference(x, y, m);
+            assert_matches_reference(m, y, x);
+        }
+    }
+
+    #[test]
+    fn knuth_corrections_and_add_backs_match_the_reference() {
+        // Dividend/divisor pairs whose quotient digit estimate passes the
+        // two-limb test yet overshoots, so the add-back step runs.
+        const ADD_BACKS: [([u64; 4], [u64; 4]); 4] = [
+            ([1, 1, 0, 1 << 62], [0x5f0c_4afc_11e1_00ac, 0, 1 << 62, 0]),
+            (
+                [0xfa0a_6184_6955_20e8, 1 << 63, 0, (1 << 63) - 1],
+                [u64::MAX - 1, 0, (1 << 63) - 1, 0],
+            ),
+            (
+                [(1 << 63) - 1, 0x3d7b_3853_7132_7e83, 2, u64::MAX - 1],
+                [2, u64::MAX - 1, 2, u64::MAX - 1],
+            ),
+            ([1 << 62, 2, 1 << 62, 1 << 62], [(1 << 63) - 1, 0, 1, 1]),
+        ];
+        let before = FIXUPS.with(Cell::get);
+        for (x, m) in ADD_BACKS {
+            assert_matches_reference(U256(x), U256::ONE, U256(m));
+        }
+        let after_add_backs = FIXUPS.with(Cell::get);
+        // Dividends and divisors of edge-valued limbs force corrections.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..2_000 {
+            let mut limbs = [0u64; 8];
+            for limb in &mut limbs {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                *limb = state >> 33;
+            }
+            let x = operand(0, &limbs[..4], 0);
+            let m = operand(0, &limbs[4..], 0);
+            assert_matches_reference(x, x, m);
+        }
+        let after = FIXUPS.with(Cell::get);
+        // `div_rem` adds back once per vector (`mul_mod` by one may again).
+        assert!(after_add_backs[1] >= before[1] + ADD_BACKS.len() as u64);
+        assert!(
+            after[0] > after_add_backs[0],
+            "no qhat correction exercised"
+        );
     }
 
     #[test]

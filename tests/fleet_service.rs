@@ -155,6 +155,41 @@ fn resume_validates_contract_and_lane_count() {
     }
 }
 
+/// A snapshot that has already spent more executions than the resume
+/// budget is rejected before any lane runs, instead of panicking a lane
+/// on its budget check and leaving the campaign running forever.
+#[test]
+fn resume_rejects_a_snapshot_past_its_budget() {
+    // Byte offset of the `executions` field: magic, version, contract
+    // hash, rng seed, lane count, profile, round, budget.
+    const EXECUTIONS_AT: usize = 4 + 4 + 8 + 8 + 4 + 1 + 8 + 8;
+    let snapshot = checkpoint_at(11, 100);
+    let mut bytes = snapshot.to_bytes();
+    let spent = u64::from_le_bytes(bytes[EXECUTIONS_AT..EXECUTIONS_AT + 8].try_into().unwrap());
+    assert_eq!(spent as usize, snapshot.executions());
+    bytes[EXECUTIONS_AT..EXECUTIONS_AT + 8].copy_from_slice(&670_014_898_285u64.to_le_bytes());
+    let patched = CampaignSnapshot::from_bytes(&bytes).expect("patched snapshot still decodes");
+    assert_eq!(patched.executions(), 670_014_898_285);
+
+    let service = CampaignService::new(1);
+    let crowdsale = || compile_source(&contracts::crowdsale().source).unwrap();
+    let under_budget = FuzzerConfig::mufuzz(snapshot.executions() - 1)
+        .with_rng_seed(11)
+        .with_workers(1);
+    for (label, config, snap) in [
+        ("patched executions", crowdsale_config(11), &patched),
+        ("budget below the pause point", under_budget, &snapshot),
+    ] {
+        match service.resume(crowdsale(), config, snap) {
+            Err(SnapshotError::Corrupt(what)) => {
+                assert!(what.contains("budget"), "{label}: {what}");
+            }
+            Err(other) => panic!("{label}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("{label}: a snapshot past its budget was resumed"),
+        }
+    }
+}
+
 /// Checkpointing a running or completed campaign is an error.
 #[test]
 fn checkpoint_requires_a_paused_campaign() {
